@@ -9,6 +9,7 @@ workflow of the paper.
 Usage: spark-submit jobs/stream_demo.py [--dataset tiny] [--batches 5]
 """
 import argparse
+import os
 import sys
 import tempfile
 
@@ -48,34 +49,39 @@ def main(argv=None) -> int:
           f"m={params.m} bits, k={params.k}; tracking pair ({u},{v})")
 
     with tempfile.TemporaryDirectory() as tmp:
-        indir, ckdir = f"{tmp}/in", f"{tmp}/ck"
-        import os
-
+        indir, ckdir, staging = f"{tmp}/in", f"{tmp}/ck", f"{tmp}/staging"
         os.makedirs(indir)
+        os.makedirs(staging)
         query = streaming.start_query(
             spark, indir, ckdir, params, n_buckets=64, query_name="vos_demo"
         )
-        cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
-        lo = 0
-        for bi, hi in enumerate(cuts):
-            chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]
-            chunk.to_parquet(f"{indir}/batch{bi:03d}.parquet")
-            lo = hi
-            query.processAllAvailable()
-            A, beta = streaming.assemble_bit_array(spark, "vos_demo", params, 64)
-            truth = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], [hi]).iloc[0]
-            sk = vos.rebuild_user_sketches([u, v], A, params)
-            alpha = float(np.mean(sk[0] != sk[1]))
-            s_hat = float(
-                estimator.estimate_common(truth["n_u"], truth["n_v"], alpha, beta, params.k)
-            )
-            print(
-                f"[demo] t={hi:>8} beta={beta:.4f} "
-                f"s_true={int(truth['s']):>5} s_hat={s_hat:8.1f} "
-                f"J_true={truth['j']:.3f} "
-                f"J_hat={float(estimator.jaccard_from_common(s_hat, truth['n_u'], truth['n_v'])):.3f}"
-            )
-        query.stop()
+        try:
+            cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
+            lo = 0
+            for bi, hi in enumerate(cuts):
+                chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]
+                # Write outside indir, then rename in: the file source
+                # must never list a half-written file.
+                name = f"batch{bi:03d}.parquet"
+                chunk.to_parquet(f"{staging}/{name}")
+                os.replace(f"{staging}/{name}", f"{indir}/{name}")
+                lo = hi
+                query.processAllAvailable()
+                A, beta = streaming.assemble_bit_array(spark, "vos_demo", params, 64)
+                truth = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], [hi]).iloc[0]
+                sk = vos.rebuild_user_sketches([u, v], A, params)
+                alpha = float(np.mean(sk[0] != sk[1]))
+                s_hat = float(
+                    estimator.estimate_common(truth["n_u"], truth["n_v"], alpha, beta, params.k)
+                )
+                print(
+                    f"[demo] t={hi:>8} beta={beta:.4f} "
+                    f"s_true={int(truth['s']):>5} s_hat={s_hat:8.1f} "
+                    f"J_true={truth['j']:.3f} "
+                    f"J_hat={float(estimator.jaccard_from_common(s_hat, truth['n_u'], truth['n_v'])):.3f}"
+                )
+        finally:
+            query.stop()
     return 0
 
 

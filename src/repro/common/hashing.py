@@ -33,8 +33,18 @@ _PAIR_MULT = np.uint64(0x2545F4914F6CDD1D)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser over a uint64 array."""
-    z = np.asarray(x, dtype=np.uint64) + _GOLDEN
+    """Vectorised splitmix64 finaliser over a uint64 array.
+
+    The arithmetic wraps mod 2^64 by design. Array ufuncs wrap silently,
+    but 0-d input would decay to numpy scalars, whose arithmetic warns
+    on overflow, so it is computed as a 1-element array and reshaped
+    back. The check costs far less than ``np.errstate`` on the per-edge
+    path.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    if x.ndim == 0:
+        return splitmix64(x.reshape(1)).reshape(())
+    z = x + _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))

@@ -8,51 +8,36 @@ be queryable at any time.
 Layout. The bit array A (m bits) is partitioned cyclically into
 ``n_buckets`` key groups: position p lives in bucket ``p % n_buckets``
 at local slot ``p // n_buckets``. The stream is hashed to positions
-with the same ``pandas_udf`` the batch build uses, grouped by bucket,
-and fed through ``applyInPandasWithState``: each bucket's state is its
-slice of A packed into 64-bit words plus its 1-bit count. A micro-batch
-with e edges does O(e) total work (one bincount-parity + word xors), so
-the O(1)-per-edge property is preserved; xor commutativity makes the
-result bit-exact equal to the sequential algorithm regardless of how
-the engine batches or orders events (the same argument the paper makes
-for order-independence of A).
+with the same ``pandas_udf`` the batch build uses.
 
-Output. After every micro-batch each touched bucket emits (bucket,
-version, ones, packed words) to a memory sink; ``assemble_bit_array``
-folds the latest row per bucket back into (A, β). β is maintained
-per-bucket as an exact 1-bit count — the streaming analogue of the
-paper's running β counter.
+State. Each bucket's slice of A is packed into 64-bit words, and each
+word is one state row: a built-in streaming aggregation
+``groupBy(bucket, word = local >> 6).agg(bit_xor(1 << (local % 64)))``
+kept by the JVM state store, with no Python in the stateful stage. An
+edge touches one word, so a micro-batch with e edges does O(e) work.
+Because xor is commutative, the result is bit-exact equal to the
+sequential algorithm however the engine batches or orders events (the
+paper's order-independence of A, and the same parity argument the batch
+build uses).
+
+Output. The memory sink runs in ``complete`` mode, so after every
+micro-batch it holds exactly the current words, at most
+``n_buckets × _n_words(bucket_slots(m, n_buckets))`` rows, never their
+history. ``assemble_bit_array`` scatters them back into (A, β).
+
+Restart. The aggregation state lives under ``checkpointLocation``: a
+query stopped and started again on the same location resumes from the
+committed words. The new sink is empty until the resumed query runs its
+first micro-batch, which rewrites every word.
 """
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
-from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from ..streams.generator import STREAM_SCHEMA
 from . import vos
-
-UPDATE_SCHEMA = T.StructType(
-    [
-        T.StructField("bucket", T.LongType(), False),
-        T.StructField("version", T.LongType(), False),
-        T.StructField("ones", T.LongType(), False),
-        T.StructField("words", T.ArrayType(T.LongType()), False),
-    ]
-)
-
-STATE_SCHEMA = T.StructType(
-    [
-        T.StructField("words", T.ArrayType(T.LongType()), False),
-        T.StructField("ones", T.LongType(), False),
-        T.StructField("version", T.LongType(), False),
-    ]
-)
 
 
 def bucket_slots(m: int, n_buckets: int) -> int:
@@ -62,51 +47,6 @@ def bucket_slots(m: int, n_buckets: int) -> int:
 
 def _n_words(slots: int) -> int:
     return (slots + 63) // 64
-
-
-def _popcount(words: np.ndarray) -> int:
-    return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-def _make_update_fn(m: int, n_buckets: int):
-    """Stateful bucket updater: xor this batch's flip parities into the
-    bucket's packed slice of A."""
-    slots = bucket_slots(m, n_buckets)
-    n_words = _n_words(slots)
-
-    def update(
-        key: Tuple[int],
-        pdfs: Iterator[pd.DataFrame],
-        state: GroupState,
-    ) -> Iterator[pd.DataFrame]:
-        if state.exists:
-            stored_words, _ones, version = state.get
-            words = np.asarray(stored_words, dtype=np.int64).astype(np.uint64)
-        else:
-            words = np.zeros(n_words, dtype=np.uint64)
-            version = 0
-        flips = np.zeros(slots, dtype=np.int64)
-        for pdf in pdfs:
-            local = pdf["local"].to_numpy(np.int64)
-            flips += np.bincount(local, minlength=slots)
-        odd = np.flatnonzero(flips % 2 == 1)
-        w = odd // 64
-        bitmask = np.uint64(1) << (odd % 64).astype(np.uint64)
-        np.bitwise_xor.at(words, w, bitmask)
-        ones = _popcount(words)
-        version += 1
-        out_words = words.astype(np.int64).tolist()
-        state.update((out_words, ones, version))
-        yield pd.DataFrame(
-            {
-                "bucket": [int(key[0])],
-                "version": [version],
-                "ones": [ones],
-                "words": [out_words],
-            }
-        )
-
-    return update
 
 
 def bucketed_positions(
@@ -132,26 +72,20 @@ def start_query(
     """Start the streaming VOS build over a parquet file source.
 
     New parquet files dropped into ``input_dir`` (STREAM_SCHEMA rows)
-    are absorbed into the bucketed state; call
+    are absorbed into the packed words of A; call
     ``query.processAllAvailable()`` to drain, then
     ``assemble_bit_array`` to materialise (A, β).
     """
     edges = spark.readStream.schema(STREAM_SCHEMA).parquet(input_dir)
-    updates = (
+    words = (
         bucketed_positions(edges, params, n_buckets)
-        .groupBy("bucket")
-        .applyInPandasWithState(
-            _make_update_fn(params.m, n_buckets),
-            UPDATE_SCHEMA,
-            STATE_SCHEMA,
-            "update",
-            GroupStateTimeout.NoTimeout,
-        )
+        .groupBy("bucket", F.shiftright("local", 6).alias("word"))
+        .agg(F.bit_xor(F.expr("shiftleft(1L, int(local % 64))")).alias("bits"))
     )
     return (
-        updates.writeStream.format("memory")
+        words.writeStream.format("memory")
         .queryName(query_name)
-        .outputMode("update")
+        .outputMode("complete")
         .option("checkpointLocation", checkpoint_dir)
         .start()
     )
@@ -160,17 +94,15 @@ def start_query(
 def assemble_bit_array(
     spark: SparkSession, query_name: str, params: vos.VOSParams, n_buckets: int = 64
 ) -> tuple[np.ndarray, float]:
-    """Fold the memory-sink rows into (A, β) — latest version per bucket."""
+    """Scatter the memory-sink words into (A, β)."""
     pdf = spark.table(query_name).toPandas()
-    A = np.zeros(params.m, dtype=np.uint8)
-    if pdf.empty:
-        return A, 0.0
-    latest = pdf.sort_values("version").groupby("bucket").tail(1)
     slots = bucket_slots(params.m, n_buckets)
-    for bucket, words in zip(latest["bucket"], latest["words"]):
-        warr = np.asarray(words, dtype=np.int64).astype(np.uint64)
-        bits = np.unpackbits(warr.view(np.uint8), bitorder="little")[:slots]
-        pos = int(bucket) + n_buckets * np.arange(slots, dtype=np.int64)
-        valid = pos < params.m
-        A[pos[valid]] = bits[valid]
+    words = np.zeros((n_buckets, _n_words(slots)), dtype=np.uint64)
+    words[pdf["bucket"].to_numpy(np.int64), pdf["word"].to_numpy(np.int64)] = (
+        pdf["bits"].to_numpy(np.int64).view(np.uint64)
+    )
+    # Row b holds bucket b's slots in order; position p = local·n_buckets + b,
+    # so A is the (slot, bucket) transpose read row-major.
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    A = bits.T.reshape(-1)[: params.m]
     return A, float(A.mean())
