@@ -13,14 +13,14 @@ import pathlib
 
 import pytest
 
-from repro.eval import runtime
+from repro.eval import METHODS, runtime
 
 KS = [1, 10, 100, 1_000, 10_000, 100_000]
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.mark.parametrize("k", KS)
-@pytest.mark.parametrize("method", runtime.RUNTIME_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_update_kernel(benchmark, method, k):
     """Per-edge sketch update; benchmark extra_info carries us/edge."""
     n_edges = runtime.edges_for(method, k)

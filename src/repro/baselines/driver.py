@@ -19,7 +19,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from . import minhash, oph, rp
+from ..common import prefix
+from . import baseline
 
 SNAPSHOT_SCHEMA = T.StructType(
     [
@@ -28,12 +29,6 @@ SNAPSHOT_SCHEMA = T.StructType(
         T.StructField("regs", T.ArrayType(T.LongType()), False),
     ]
 )
-
-METHOD_KERNELS = {
-    "minhash": lambda user, k, seed: minhash.MinHashKernel(k, seed),
-    "oph": lambda user, k, seed: oph.OPHKernel(k, seed),
-    "rp": lambda user, k, seed: rp.RPKernel(k, seed, user=user),
-}
 
 
 def sketch_snapshots(
@@ -49,10 +44,8 @@ def sketch_snapshots(
     ``regs`` holds sampled item ids, −1 for an empty register. Snapshot
     at checkpoint c reflects all of the user's edges with t ≤ c.
     """
-    if method not in METHOD_KERNELS:
-        raise ValueError(f"unknown method {method!r}; one of {sorted(METHOD_KERNELS)}")
-    cps = sorted(int(c) for c in checkpoints)
-    factory = METHOD_KERNELS[method]
+    factory = baseline(method).kernel
+    cps = prefix.check_checkpoints(checkpoints)
     user_list = [int(u) for u in users]
 
     def replay(pdf: pd.DataFrame) -> pd.DataFrame:

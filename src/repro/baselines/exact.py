@@ -10,10 +10,11 @@ parity rule:
   item for pairs); these are what the DuckDB oracle cross-checks.
 * ``select_tracked`` — the paper's §V selection: users with the largest
   final cardinalities, pairs among them sharing ≥ 1 item at the end.
-* ``exact_over_time`` — the evaluation fast path: one Spark pass
-  collects per-(user, item) prefix parities for all checkpoints, then
-  pair intersections are computed driver-side over the (small) tracked
-  subset.
+* ``exact_over_time`` — the evaluation fast path: one
+  ``common.prefix.checkpoint_prefix_sums`` pass gives the per-(user,
+  item) occurrence count at every checkpoint, whose parity is
+  membership; pair intersections are then computed driver-side over the
+  (small) tracked subset.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..common import prefix
 from ..core import estimator
 
 
@@ -95,24 +97,13 @@ def exact_over_time(
     intersections are then computed on the driver (tracked users are a
     few dozen, so this is tiny).
     """
-    cps = [int(c) for c in checkpoints]
-    user_list = [int(u) for u in users]
-    aggs = [
-        F.sum(F.when(F.col("t") <= c, F.lit(1)).otherwise(F.lit(0))).alias(f"c{i}")
-        for i, c in enumerate(cps)
-    ]
-    wide = (
-        edges.where(F.col("user").isin(user_list))
-        .groupBy("user", "item")
-        .agg(*aggs)
-        .toPandas()
-    )
+    tracked = edges.where(F.col("user").isin([int(u) for u in users]))
+    keys, counts = prefix.checkpoint_prefix_sums(tracked, ["user", "item"], checkpoints)
     out_rows = []
     pu = pairs["u"].to_numpy(np.int64)
     pv = pairs["v"].to_numpy(np.int64)
-    for ci in range(len(cps)):
-        parity = wide[f"c{ci}"].to_numpy(np.int64) % 2 == 1
-        pres = wide.loc[parity, ["user", "item"]]
+    for ci in range(counts.shape[1]):
+        pres = keys[counts[:, ci] % 2 == 1]
         sets: dict[int, frozenset] = {
             int(u): frozenset(g) for u, g in pres.groupby("user")["item"]
         }

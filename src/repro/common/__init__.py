@@ -1,1 +1,1 @@
-"""Shared low-level utilities (deterministic hashing)."""
+"""Shared low-level utilities (deterministic hashing, checkpoint prefix sums)."""

@@ -10,8 +10,11 @@ Because xor is commutative and associative, the state of A at time t is
 the *parity of the flip count per position* over all edges with
 arrival ≤ t. That makes the sequential per-edge definition expressible
 as a Catalyst aggregation — ``groupBy(pos).count() % 2`` — which is how
-``build_bit_arrays`` builds A (for many checkpoints in a single pass
-using conditional sums). ``VOSKernel`` is the paper's sequential O(1)
+``build_bit_arrays`` builds A (for many checkpoints in a single pass:
+``common.prefix.checkpoint_prefix_sums`` counts flips per position and
+checkpoint interval and takes prefix sums on the driver). The exact
+n_u counters come from the same primitive as prefix sums of the
+actions. ``VOSKernel`` is the paper's sequential O(1)
 update loop, used for the runtime experiment (Fig 2) and as the
 reference the distributed builds are tested against; the Structured
 Streaming operator lives in ``streaming.py``.
@@ -27,7 +30,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..common import hashing
+from ..common import hashing, prefix
 
 
 @dataclass(frozen=True)
@@ -72,20 +75,14 @@ def build_bit_arrays(
 
     Returns ``(A, beta)`` where ``A`` is a (n_checkpoints, m) uint8 bit
     matrix and ``beta[c]`` the fraction of 1-bits at checkpoint c.
-    One shuffle: groupBy position with one conditional flip-count per
-    checkpoint; parity taken on the (≤ n_edges distinct positions)
-    result.
+    One shuffle: flips counted per (position, checkpoint interval);
+    parity taken on the prefix sums (≤ n_edges distinct positions).
     """
-    cps = [int(c) for c in checkpoints]
-    aggs = [
-        F.sum(F.when(F.col("t") <= c, F.lit(1)).otherwise(F.lit(0))).alias(f"c{i}")
-        for i, c in enumerate(cps)
-    ]
-    rows = with_positions(edges, params).groupBy("pos").agg(*aggs).toPandas()
-    A = np.zeros((len(cps), params.m), dtype=np.uint8)
-    pos = rows["pos"].to_numpy(np.int64)
-    for i in range(len(cps)):
-        A[i, pos] = (rows[f"c{i}"].to_numpy(np.int64) % 2).astype(np.uint8)
+    keys, flips = prefix.checkpoint_prefix_sums(
+        with_positions(edges, params), ["pos"], checkpoints
+    )
+    A = np.zeros((flips.shape[1], params.m), dtype=np.uint8)
+    A[:, keys["pos"].to_numpy(np.int64)] = (flips % 2).T
     return A, A.mean(axis=1)
 
 
@@ -105,21 +102,18 @@ def user_counts_at(
     Returns long-format pandas: columns ``user``, ``ckpt`` (index into
     ``checkpoints``), ``n``. Restricted to ``users`` when given.
     """
-    cps = [int(c) for c in checkpoints]
     df = edges
     if users is not None:
         df = df.where(F.col("user").isin([int(u) for u in users]))
-    aggs = [
-        F.sum(F.when(F.col("t") <= c, F.col("action")).otherwise(F.lit(0))).alias(
-            f"c{i}"
-        )
-        for i, c in enumerate(cps)
-    ]
-    wide = df.groupBy("user").agg(*aggs).toPandas()
-    out = wide.melt(id_vars=["user"], var_name="ckpt", value_name="n")
-    out["ckpt"] = out["ckpt"].str.removeprefix("c").astype(int)
-    out["n"] = out["n"].astype(np.int64)
-    return out.sort_values(["user", "ckpt"]).reset_index(drop=True)
+    keys, n = prefix.checkpoint_prefix_sums(df, ["user"], checkpoints, value=F.col("action"))
+    n_keys, n_ckpt = n.shape
+    return pd.DataFrame(
+        {
+            "user": np.repeat(keys["user"].to_numpy(np.int64), n_ckpt),
+            "ckpt": np.tile(np.arange(n_ckpt), n_keys),
+            "n": n.ravel(),
+        }
+    )
 
 
 class VOSKernel:

@@ -11,18 +11,16 @@ available to all methods, as in the paper.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..baselines import driver, exact, minhash, oph, rp
+from ..baselines import BASELINES, driver, exact
 from ..core import estimator, vos
 from ..streams import datasets, generator
-from . import metrics
-
-METHODS = ("vos", "minhash", "oph", "rp")
+from . import METHODS, metrics
 
 
 def _pair_indices(users: np.ndarray, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -32,26 +30,27 @@ def _pair_indices(users: np.ndarray, pairs: pd.DataFrame) -> tuple[np.ndarray, n
     return iu, iv
 
 
-def estimate_vos(
-    edges,
+def _pair_estimates(
     users: np.ndarray,
     pairs: pd.DataFrame,
     truth: pd.DataFrame,
-    checkpoints: Sequence[int],
-    params: vos.VOSParams,
+    n_checkpoints: int,
+    estimate_at: Callable,
 ) -> pd.DataFrame:
-    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint."""
-    A, betas = vos.build_bit_arrays(edges, params, checkpoints)
+    """(ŝ, Ĵ) for every tracked pair at every checkpoint.
+
+    ``estimate_at(ci, iu, iv, n_u, n_v)`` returns one method's (ŝ, Ĵ)
+    arrays at checkpoint ``ci`` for the pairs whose users sit at rows
+    ``iu`` and ``iv`` of ``users``, given their exact n_u and n_v.
+    """
     iu, iv = _pair_indices(users, pairs)
+    keys = list(zip(pairs["u"], pairs["v"]))
     frames = []
-    for ci in range(len(checkpoints)):
-        sk = vos.rebuild_user_sketches(users, A[ci], params)
-        alpha = estimator.pair_alpha(sk[iu], sk[iv])
-        tr = truth[truth["ckpt"] == ci].set_index(["u", "v"])
-        nu = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_u"].to_numpy(np.float64)
-        nv = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_v"].to_numpy(np.float64)
-        s_hat = estimator.estimate_common(nu, nv, alpha, betas[ci], params.k)
-        j_hat = estimator.jaccard_from_common(s_hat, nu, nv)
+    for ci in range(n_checkpoints):
+        tr = truth[truth["ckpt"] == ci].set_index(["u", "v"]).loc[keys]
+        nu = tr["n_u"].to_numpy(np.float64)
+        nv = tr["n_v"].to_numpy(np.float64)
+        s_hat, j_hat = estimate_at(ci, iu, iv, nu, nv)
         frames.append(
             pd.DataFrame(
                 {
@@ -66,11 +65,24 @@ def estimate_vos(
     return pd.concat(frames, ignore_index=True)
 
 
-_BASELINE_ESTIMATORS = {
-    "minhash": minhash.estimate_pairs,
-    "oph": oph.estimate_pairs,
-    "rp": rp.estimate_pairs,
-}
+def estimate_vos(
+    edges,
+    users: np.ndarray,
+    pairs: pd.DataFrame,
+    truth: pd.DataFrame,
+    checkpoints: Sequence[int],
+    params: vos.VOSParams,
+) -> pd.DataFrame:
+    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint."""
+    A, betas = vos.build_bit_arrays(edges, params, checkpoints)
+
+    def estimate_at(ci, iu, iv, nu, nv):
+        sk = vos.rebuild_user_sketches(users, A[ci], params)
+        alpha = estimator.pair_alpha(sk[iu], sk[iv])
+        s_hat = estimator.estimate_common(nu, nv, alpha, betas[ci], params.k)
+        return s_hat, estimator.jaccard_from_common(s_hat, nu, nv)
+
+    return _pair_estimates(users, pairs, truth, len(checkpoints), estimate_at)
 
 
 def estimate_baseline(
@@ -85,27 +97,13 @@ def estimate_baseline(
 ) -> pd.DataFrame:
     """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint."""
     snaps = driver.sketch_snapshots(edges, users, checkpoints, method, k_reg, seed)
-    est = _BASELINE_ESTIMATORS[method]
-    iu, iv = _pair_indices(users, pairs)
-    frames = []
-    for ci in range(len(checkpoints)):
+    est = BASELINES[method].estimate_pairs
+
+    def estimate_at(ci, iu, iv, nu, nv):
         mat = driver.snapshots_to_matrix(snaps, users, ci, k_reg)
-        tr = truth[truth["ckpt"] == ci].set_index(["u", "v"])
-        nu = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_u"].to_numpy(np.float64)
-        nv = tr.loc[list(zip(pairs["u"], pairs["v"])), "n_v"].to_numpy(np.float64)
-        s_hat, j_hat = est(mat[iu], mat[iv], nu, nv)
-        frames.append(
-            pd.DataFrame(
-                {
-                    "u": pairs["u"],
-                    "v": pairs["v"],
-                    "ckpt": ci,
-                    "s_hat": s_hat,
-                    "j_hat": j_hat,
-                }
-            )
-        )
-    return pd.concat(frames, ignore_index=True)
+        return est(mat[iu], mat[iv], nu, nv)
+
+    return _pair_estimates(users, pairs, truth, len(checkpoints), estimate_at)
 
 
 def run_accuracy(

@@ -23,11 +23,10 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 
-from ..baselines import minhash, oph, rp
+from ..baselines import baseline
 from ..core import vos
 from ..streams import datasets
-
-RUNTIME_METHODS = ("vos", "oph", "minhash", "rp")
+from . import METHODS
 
 
 def stream_arrays(dataset: str = "youtube", *, n_edges: int, seed: int = 0):
@@ -39,20 +38,6 @@ def stream_arrays(dataset: str = "youtube", *, n_edges: int, seed: int = 0):
         head["item"].to_numpy(np.int64),
         head["action"].to_numpy(np.int64),
     )
-
-
-def _per_user_runner(factory: Callable[[int], object]):
-    """Wrap a per-user kernel factory into an edge-stream processor."""
-
-    def run(users, items, actions):
-        kernels: dict[int, object] = {}
-        for u, i, a in zip(users.tolist(), items.tolist(), actions.tolist()):
-            kern = kernels.get(u)
-            if kern is None:
-                kern = kernels[u] = factory(u)
-            kern.update(i, a)
-
-    return run
 
 
 def make_runner(method: str, k: int, seed: int = 7) -> Callable:
@@ -67,19 +52,23 @@ def make_runner(method: str, k: int, seed: int = 7) -> Callable:
                 kern.update(u, i, a)
 
         return run
-    if method == "minhash":
-        return _per_user_runner(lambda u: minhash.MinHashKernel(k, seed))
-    if method == "oph":
-        return _per_user_runner(lambda u: oph.OPHKernel(k, seed))
-    if method == "rp":
-        return _per_user_runner(lambda u: rp.RPKernel(k, seed, user=u))
-    raise ValueError(f"unknown method {method!r}")
+    new_kernel = baseline(method).kernel
+
+    def run(users, items, actions):
+        kernels: dict[int, object] = {}
+        for u, i, a in zip(users.tolist(), items.tolist(), actions.tolist()):
+            kern = kernels.get(u)
+            if kern is None:
+                kern = kernels[u] = new_kernel(u, k, seed)
+            kern.update(i, a)
+
+    return run
 
 
 def edges_for(method: str, k: int, *, budget_ops: int = 4_000_000, cap: int = 20_000) -> int:
     """Edge count keeping the sweep bounded: O(1) methods get the cap,
     O(k) methods get ~budget_ops/k edges (≥ 200)."""
-    if method in ("vos", "oph"):
+    if method == "vos" or baseline(method).o1_update:
         return cap
     return max(200, min(cap, budget_ops // max(k, 1)))
 
@@ -105,7 +94,7 @@ def time_method(
 
 def runtime_sweep(
     ks=(1, 10, 100, 1_000, 10_000, 100_000),
-    methods=RUNTIME_METHODS,
+    methods=METHODS,
     *,
     dataset: str = "youtube",
     seed: int = 0,

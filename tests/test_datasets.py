@@ -76,12 +76,3 @@ class TestLoadStream:
         assert sdf.schema == generator.STREAM_SCHEMA
         pdf, _ = datasets.make_stream("tiny", seed=0)
         assert sdf.count() == len(pdf)
-
-    def test_synth_data_reexport(self, spark):
-        """The paper's schema is reachable from repro.synth_data too."""
-        from repro import synth_data
-
-        sdf = synth_data.dynamic_graph_stream(spark, dataset="tiny", seed=0)
-        assert set(sdf.columns) == {"t", "user", "item", "action"}
-        acts = {r["action"] for r in sdf.select("action").distinct().collect()}
-        assert acts == {1, -1}

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import driver, minhash, oph, rp
+from repro.baselines import BASELINES, driver
 
 CHECKPOINTS = [800, 1600, 2400]
 
@@ -15,7 +15,7 @@ def tracked_users(tiny_stream_pdf):
 
 def local_replay(stream_pdf, user, method, k, seed, checkpoints):
     """Single-threaded reference replay of one user's edge sub-stream."""
-    kern = driver.METHOD_KERNELS[method](user, k, seed)
+    kern = BASELINES[method].kernel(user, k, seed)
     sub = stream_pdf[stream_pdf["user"] == user].sort_values("t")
     snaps, ci = [], 0
     cps = sorted(checkpoints)
@@ -30,7 +30,7 @@ def local_replay(stream_pdf, user, method, k, seed, checkpoints):
     return snaps
 
 
-@pytest.mark.parametrize("method", ["minhash", "oph", "rp"])
+@pytest.mark.parametrize("method", list(BASELINES))
 class TestSnapshotEquivalence:
     def test_matches_local_replay(
         self, tiny_stream_sdf, tiny_stream_pdf, tracked_users, method

@@ -1,6 +1,7 @@
 """Tests for the exact ground-truth engine (repro.baselines.exact),
 cross-checked against DuckDB via the oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -145,3 +146,11 @@ class TestExactOverTime:
         out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [1000, 2000])
         expect = out["s"] / (out["n_u"] + out["n_v"] - out["s"]).clip(lower=1)
         np.testing.assert_allclose(out["j"], expect.where(out["s"] > 0, 0.0), atol=1e-9)
+
+    def test_edgeless_users_give_zero_rows(self, tiny_stream_sdf):
+        """Tracked users with no edge at all still get one all-zero row
+        per pair and checkpoint."""
+        pairs = pd.DataFrame({"u": [99_998], "v": [99_999]})
+        out = exact.exact_over_time(tiny_stream_sdf, [99_998, 99_999], pairs, [10, 20])
+        assert len(out) == 2
+        assert (out[["s", "n_u", "n_v", "j"]] == 0).all().all()

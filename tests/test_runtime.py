@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.eval import runtime
+from repro.eval import METHODS, runtime
 
 
 class TestStreamArrays:
@@ -31,7 +31,7 @@ class TestEdgesFor:
 
 
 class TestRunners:
-    @pytest.mark.parametrize("method", runtime.RUNTIME_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_runner_processes_stream(self, method):
         u, i, a = runtime.stream_arrays("tiny", n_edges=300, seed=0)
         runtime.make_runner(method, 16)(u, i, a)  # must not raise
@@ -58,7 +58,7 @@ class TestRunners:
 
 
 class TestTimeMethod:
-    @pytest.mark.parametrize("method", runtime.RUNTIME_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_returns_positive_time(self, method):
         out = runtime.time_method(method, 8, dataset="tiny", n_edges=200)
         assert out["us_per_edge"] > 0
