@@ -57,6 +57,7 @@ def main(argv=None) -> int:
         )
         try:
             cuts = [round(total * (i + 1) / args.batches) for i in range(args.batches)]
+            truths = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], cuts)
             lo = 0
             for bi, hi in enumerate(cuts):
                 chunk = stream[(stream["t"] > lo) & (stream["t"] <= hi)]
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
                 lo = hi
                 query.processAllAvailable()
                 A, beta = streaming.assemble_bit_array(spark, "vos_demo", params, 64)
-                truth = exact.exact_over_time(sdf, [u, v], pairs.iloc[[0]], [hi]).iloc[0]
+                truth = truths.iloc[bi]
                 sk = vos.rebuild_user_sketches([u, v], A, params)
                 alpha = float(np.mean(sk[0] != sk[1]))
                 s_hat = float(

@@ -3,18 +3,11 @@
 On a feasible dynamic stream, item i is in S_u at time t iff the number
 of (u, i, ·) elements with arrival ≤ t is odd (insertions and deletions
 of an edge strictly alternate). Every exact quantity derives from that
-parity rule:
-
-* ``present`` / ``cardinalities`` / ``pair_commons`` — Spark
-  DataFrame computations (one parity aggregation, then a self-join on
-  item for pairs); these are what the DuckDB oracle cross-checks.
-* ``select_tracked`` — the paper's §V selection: users with the largest
-  final cardinalities, pairs among them sharing ≥ 1 item at the end.
-* ``exact_over_time`` — the evaluation fast path: one
-  ``common.prefix.checkpoint_prefix_sums`` pass gives the per-(user,
-  item) occurrence count at every checkpoint, whose parity is
-  membership; pair intersections are then computed driver-side over the
-  (small) tracked subset.
+parity rule. ``present`` / ``cardinalities`` are one Spark parity
+aggregation. ``select_tracked`` (the paper's §V pair selection) and
+``exact_over_time`` (s, n_u, n_v, J per checkpoint) share
+``_tracked_counts``: prefix parity from ``common.prefix`` plus one
+driver-side matrix product. The tests check all of them against DuckDB.
 """
 from __future__ import annotations
 
@@ -45,20 +38,24 @@ def cardinalities(edges: DataFrame, t: int | None = None) -> DataFrame:
     return present(edges, t).groupBy("user").agg(F.count(F.lit(1)).alias("n"))
 
 
-def pair_commons(
-    edges: DataFrame, t: int | None = None, users: Sequence[int] | None = None
-) -> DataFrame:
-    """Exact s_uv (u < v, s ≥ 1) at time t via a self-join on item."""
-    p = present(edges, t)
-    if users is not None:
-        p = p.where(F.col("user").isin([int(u) for u in users]))
-    a = p.alias("a")
-    b = p.alias("b")
-    return (
-        a.join(b, on=(F.col("a.item") == F.col("b.item")) & (F.col("a.user") < F.col("b.user")))
-        .groupBy(F.col("a.user").alias("u"), F.col("b.user").alias("v"))
-        .agg(F.count(F.lit(1)).alias("s"))
-    )
+def _tracked_counts(
+    edges: DataFrame, users: np.ndarray, checkpoints: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s, n) for ``users`` at every checkpoint, in the order given.
+
+    ``s[c, a, b]`` = |S_users[a] ∩ S_users[b]| and ``n[c, a]`` =
+    |S_users[a]| at ``checkpoints[c]``. Membership is the parity of the
+    (user, item) prefix count, scattered into a (C, users, items) bool
+    array M; then s = M @ Mᵀ per checkpoint and n = Σ_items M.
+    """
+    tracked = edges.where(F.col("user").isin([int(u) for u in users]))
+    keys, counts = prefix.checkpoint_prefix_sums(tracked, ["user", "item"], checkpoints)
+    rows = pd.Index(users).get_indexer(keys["user"])
+    cols, items = pd.factorize(keys["item"])
+    member = np.zeros((counts.shape[1], len(users), len(items)), dtype=bool)
+    member[:, rows, cols] = (counts % 2 == 1).T
+    s = np.stack([mc.astype(np.int64) @ mc.T for mc in member])
+    return s, member.sum(axis=-1)
 
 
 def select_tracked(
@@ -67,20 +64,18 @@ def select_tracked(
     """Paper §V selection at final time.
 
     Returns (tracked user ids ascending, pairs DataFrame with columns
-    u, v, s_final) — the pairs among the ``top_n`` largest-cardinality
-    users that share at least one item when the whole stream has
-    arrived. Ties broken by user id for determinism.
+    u, v, s_final, sorted by (u, v)) — the pairs among the ``top_n``
+    largest-cardinality users that share at least one item when the
+    whole stream has arrived. Ties broken by user id for determinism.
     """
     card = cardinalities(edges).toPandas()
     card = card.sort_values(["n", "user"], ascending=[False, True])
     users = np.sort(card["user"].to_numpy(np.int64)[:top_n])
-    pairs = (
-        pair_commons(edges, users=users)
-        .toPandas()
-        .rename(columns={"s": "s_final"})
-        .sort_values(["u", "v"])
-        .reset_index(drop=True)
-    )
+    s, _ = _tracked_counts(edges, users, [np.iinfo(np.int64).max])
+    iu, iv = np.triu_indices(len(users), 1)
+    s_final = s[0, iu, iv]
+    keep = s_final > 0
+    pairs = pd.DataFrame({"u": users[iu[keep]], "v": users[iv[keep]], "s_final": s_final[keep]})
     return users, pairs
 
 
@@ -92,29 +87,29 @@ def exact_over_time(
 ) -> pd.DataFrame:
     """Exact (u, v, ckpt) → s, n_u, n_v, j for tracked pairs.
 
-    One Spark aggregation produces, per tracked (user, item), the
-    occurrence count at every checkpoint; parities and pairwise
-    intersections are then computed on the driver (tracked users are a
-    few dozen, so this is tiny).
+    Rows run checkpoint-major, then in the order of ``pairs``. Every
+    pair member must be in ``users`` (``ValueError`` otherwise).
     """
-    tracked = edges.where(F.col("user").isin([int(u) for u in users]))
-    keys, counts = prefix.checkpoint_prefix_sums(tracked, ["user", "item"], checkpoints)
-    out_rows = []
+    users = np.asarray(users, dtype=np.int64)
     pu = pairs["u"].to_numpy(np.int64)
     pv = pairs["v"].to_numpy(np.int64)
-    for ci in range(counts.shape[1]):
-        pres = keys[counts[:, ci] % 2 == 1]
-        sets: dict[int, frozenset] = {
-            int(u): frozenset(g) for u, g in pres.groupby("user")["item"]
+    index = pd.Index(users)
+    iu, iv = index.get_indexer(pu), index.get_indexer(pv)
+    missing = np.union1d(pu[iu < 0], pv[iv < 0])
+    if missing.size:
+        raise ValueError(f"pair users not in users: {missing.tolist()}")
+    s, n = _tracked_counts(edges, users, checkpoints)
+    n_ckpt = s.shape[0]
+    out = pd.DataFrame(
+        {
+            "u": np.tile(pu, n_ckpt),
+            "v": np.tile(pv, n_ckpt),
+            "ckpt": np.repeat(np.arange(n_ckpt, dtype=np.int64), len(pairs)),
+            "s": s[:, iu, iv].ravel(),
+            "n_u": n[:, iu].ravel(),
+            "n_v": n[:, iv].ravel(),
         }
-        empty: frozenset = frozenset()
-        for u, v in zip(pu, pv):
-            su = sets.get(int(u), empty)
-            sv = sets.get(int(v), empty)
-            s = len(su & sv)
-            nu, nv = len(su), len(sv)
-            out_rows.append((int(u), int(v), ci, s, nu, nv))
-    out = pd.DataFrame(out_rows, columns=["u", "v", "ckpt", "s", "n_u", "n_v"])
+    )
     out["j"] = estimator.jaccard_from_common(
         out["s"].to_numpy(), out["n_u"].to_numpy(), out["n_v"].to_numpy()
     )

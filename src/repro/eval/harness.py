@@ -156,14 +156,3 @@ def run_accuracy(
     finally:
         edges.unpersist()
 
-
-def run_all_datasets(
-    spark: SparkSession,
-    names: Sequence[str] = ("youtube", "flickr", "orkut", "livejournal"),
-    **kwargs,
-) -> pd.DataFrame:
-    """Fig 3(b)/(d): the final-checkpoint row of every dataset."""
-    frames = [run_accuracy(spark, name, **kwargs) for name in names]
-    full = pd.concat(frames, ignore_index=True)
-    last = full.groupby("dataset")["ckpt"].transform("max")
-    return full[full["ckpt"] == last].reset_index(drop=True)

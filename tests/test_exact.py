@@ -6,7 +6,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines import exact
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent, query
 from repro.streams import generator
 
 PRESENT_SQL = """
@@ -15,6 +15,20 @@ PRESENT_SQL = """
         GROUP BY "user", item
     ) WHERE cnt % 2 = 1
 """
+
+
+def pairs_sql(t: int, users) -> str:
+    """DuckDB self-join: s (as s_final) for every u < v among ``users``
+    sharing ≥ 1 item at time t."""
+    inner = PRESENT_SQL.format(where=f"WHERE t <= {t}")
+    ids = ", ".join(str(int(u)) for u in users)
+    return f"""
+        SELECT a."user" AS u, b."user" AS v, COUNT(*) AS s_final
+        FROM ({inner}) a JOIN ({inner}) b
+          ON a.item = b.item AND a."user" < b."user"
+        WHERE a."user" IN ({ids}) AND b."user" IN ({ids})
+        GROUP BY a."user", b."user"
+    """
 
 
 class TestPresent:
@@ -59,30 +73,13 @@ class TestCardinalities:
             assert card.get(u, 0) == s
 
 
-class TestPairCommons:
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf):
-        T = int(tiny_stream_pdf["t"].max())
-        t = T // 2
-        inner = PRESENT_SQL.format(where=f"WHERE t <= {t}")
-        assert_equivalent(
-            exact.pair_commons(tiny_stream_sdf, t),
-            f"""
-            SELECT a."user" AS u, b."user" AS v, COUNT(*) AS s
-            FROM ({inner}) a JOIN ({inner}) b
-              ON a.item = b.item AND a."user" < b."user"
-            GROUP BY a."user", b."user"
-            """,
-            stream=tiny_stream_pdf,
-        )
-
-    def test_user_filter(self, tiny_stream_sdf):
-        some = [1, 2, 3]
-        got = exact.pair_commons(tiny_stream_sdf, users=some).toPandas()
-        assert got["u"].isin(some).all() and got["v"].isin(some).all()
-        assert (got["u"] < got["v"]).all()
-
-
 class TestSelectTracked:
+    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf):
+        users, pairs = exact.select_tracked(tiny_stream_sdf, 8)
+        T = int(tiny_stream_pdf["t"].max())
+        assert_equivalent(pairs, pairs_sql(T, users), stream=tiny_stream_pdf)
+        assert pairs.equals(pairs.sort_values(["u", "v"], ignore_index=True))
+
     def test_top_n_by_cardinality(self, tiny_stream_sdf, tiny_stream_pdf):
         users, pairs = exact.select_tracked(tiny_stream_sdf, 8)
         assert len(users) == 8
@@ -112,6 +109,7 @@ class TestExactOverTime:
     def test_final_checkpoint_matches_pair_commons(
         self, tiny_stream_sdf, tiny_stream_pdf, tracked
     ):
+        """s at the last checkpoint equals select_tracked's s_final."""
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
         out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [T // 2, T])
@@ -119,18 +117,13 @@ class TestExactOverTime:
         merged = final.merge(pairs, on=["u", "v"], validate="1:1")
         assert (merged["s"] == merged["s_final"]).all()
 
-    def test_midpoint_matches_spark_join(self, tiny_stream_sdf, tiny_stream_pdf, tracked):
+    def test_midpoint_matches_duckdb(self, tiny_stream_sdf, tiny_stream_pdf, tracked):
         users, pairs = tracked
         T = int(tiny_stream_pdf["t"].max())
         out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [T // 2])
-        spark_pairs = (
-            exact.pair_commons(tiny_stream_sdf, T // 2, users=users)
-            .toPandas()
-            .set_index(["u", "v"])["s"]
-        )
-        for _, row in out.iterrows():
-            expect = int(spark_pairs.get((row["u"], row["v"]), 0))
-            assert int(row["s"]) == expect
+        sql = query(pairs_sql(T // 2, users), stream=tiny_stream_pdf)
+        expect = out[["u", "v"]].merge(sql, on=["u", "v"], how="left")["s_final"]
+        assert (out["s"] == expect.fillna(0)).all()
 
     def test_cardinalities_match(self, tiny_stream_sdf, tiny_stream_pdf, tracked):
         users, pairs = tracked
@@ -146,6 +139,13 @@ class TestExactOverTime:
         out = exact.exact_over_time(tiny_stream_sdf, users, pairs, [1000, 2000])
         expect = out["s"] / (out["n_u"] + out["n_v"] - out["s"]).clip(lower=1)
         np.testing.assert_allclose(out["j"], expect.where(out["s"] > 0, 0.0), atol=1e-9)
+
+    def test_pair_user_missing_from_users_rejected(self, tiny_stream_sdf):
+        """A pair member outside ``users`` has no membership row; it must
+        not be reported as an empty set."""
+        pairs = pd.DataFrame({"u": [1, 5, 2], "v": [2, 1, 7]})
+        with pytest.raises(ValueError, match=r"not in users: \[5, 7\]"):
+            exact.exact_over_time(tiny_stream_sdf, [1, 2, 3], pairs, [10])
 
     def test_edgeless_users_give_zero_rows(self, tiny_stream_sdf):
         """Tracked users with no edge at all still get one all-zero row

@@ -1,5 +1,8 @@
 """Integration tests for the Fig 3 accuracy harness (repro.eval.harness)."""
+import pathlib
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.eval import harness
@@ -68,9 +71,24 @@ class TestRunAccuracy:
 
 class TestEstimateHelpers:
     def test_pair_indices(self):
-        import pandas as pd
-
         users = np.array([3, 7, 9])
         pairs = pd.DataFrame({"u": [3, 7], "v": [9, 9]})
         iu, iv = harness._pair_indices(users, pairs)
         assert (iu == [0, 1]).all() and (iv == [2, 2]).all()
+
+
+class TestCommittedFig3Table:
+    def test_youtube_matches_results_csv(self, spark):
+        """The committed results/fig3_accuracy.csv youtube rows are what
+        ``jobs/fig3_accuracy.py`` prints at its defaults; a change that
+        moves them must regenerate the file and say why."""
+        csv = pathlib.Path(__file__).resolve().parent.parent / "results" / "fig3_accuracy.csv"
+        want = pd.read_csv(csv)
+        want = want[want["dataset"] == "youtube"].sort_values(["method", "ckpt"], ignore_index=True)
+        got = harness.run_accuracy(
+            spark, "youtube", k_reg=100, n_checkpoints=10, top_n=50, seed=0
+        )
+        exact_cols = ["method", "ckpt", "t", "n_pairs"]
+        pd.testing.assert_frame_equal(got[exact_cols], want[exact_cols])
+        for col in ("aape", "armse"):
+            np.testing.assert_allclose(got[col], want[col], rtol=1e-12, err_msg=col)

@@ -54,19 +54,29 @@ def checkpoint_sets(draw):
 
 @pytest.fixture(scope="module")
 def tracked(tiny_stream_pdf):
-    """The 8 largest final users and every pair among them."""
+    """The 8 largest final users plus one user with no edge, and every
+    pair among them."""
     assert 0 < tiny_stream_pdf["t"].min() and tiny_stream_pdf["t"].max() < TINY_T
     card = generator.net_state(tiny_stream_pdf).groupby("user").size()
-    users = np.sort(card.sort_values(ascending=False).index[:8].to_numpy(np.int64))
+    top = np.sort(card.sort_values(ascending=False).index[:8].to_numpy(np.int64))
+    users = np.append(top, tiny_stream_pdf["user"].max() + 1)
     pairs = pd.DataFrame(list(itertools.combinations(users, 2)), columns=["u", "v"])
     return users, pairs
 
 
+N_PAIRS = 36  # C(9, 2) pairs of the ``tracked`` fixture
+
+
 @settings(max_examples=8, deadline=None)
-@given(cps=checkpoint_sets())
-def test_prefix_rules_match_pandas(tiny_stream_sdf, tiny_stream_pdf, tracked, cps):
+@given(
+    cps=checkpoint_sets(),
+    order=st.permutations(range(9)),
+    swap=st.lists(st.booleans(), min_size=N_PAIRS, max_size=N_PAIRS),
+)
+def test_prefix_rules_match_pandas(tiny_stream_sdf, tiny_stream_pdf, tracked, cps, order, swap):
     """A, n_u and the exact pair table at every checkpoint equal the
-    numpy / pandas prefix definitions."""
+    numpy / pandas prefix definitions, for users in any order and pairs
+    written either way round."""
     t = tiny_stream_pdf["t"].to_numpy()
     user = tiny_stream_pdf["user"].to_numpy(np.int64)
     pos = hashing.vos_positions(
@@ -83,7 +93,15 @@ def test_prefix_rules_match_pandas(tiny_stream_sdf, tiny_stream_pdf, tracked, cp
     all_users = np.unique(user)
     assert len(counts) == len(all_users) * len(cps)
     users, pairs = tracked
-    truth = exact.exact_over_time(tiny_stream_sdf, users, pairs, cps)
+    assert len(users) == len(order) and len(pairs) == N_PAIRS
+    swap = np.array(swap)
+    pairs = pd.DataFrame(
+        {
+            "u": np.where(swap, pairs["v"], pairs["u"]),
+            "v": np.where(swap, pairs["u"], pairs["v"]),
+        }
+    )
+    truth = exact.exact_over_time(tiny_stream_sdf, users[list(order)], pairs, cps)
     assert len(truth) == len(pairs) * len(cps)
     for ci, c in enumerate(cps):
         ns = generator.net_state(tiny_stream_pdf, c)
@@ -93,6 +111,7 @@ def test_prefix_rules_match_pandas(tiny_stream_sdf, tiny_stream_pdf, tracked, cp
 
         sets = {u: set(g) for u, g in ns.groupby("user")["item"]}
         tr = truth[truth["ckpt"] == ci]
+        assert (tr[["u", "v"]].to_numpy() == pairs.to_numpy()).all()
         for u, v, s, n_u, n_v in tr[["u", "v", "s", "n_u", "n_v"]].itertuples(index=False):
             su, sv = sets.get(u, set()), sets.get(v, set())
             assert (s, n_u, n_v) == (len(su & sv), len(su), len(sv)), f"({u}, {v}) at {c}"
