@@ -3,11 +3,12 @@
 On a feasible dynamic stream, item i is in S_u at time t iff the number
 of (u, i, ·) elements with arrival ≤ t is odd (insertions and deletions
 of an edge strictly alternate). Every exact quantity derives from that
-parity rule. ``present`` / ``cardinalities`` are one Spark parity
-aggregation. ``select_tracked`` (the paper's §V pair selection) and
-``exact_over_time`` (s, n_u, n_v, J per checkpoint) share
-``_tracked_counts``: prefix parity from ``common.prefix`` plus one
-driver-side matrix product. The tests check all of them against DuckDB.
+parity rule, applied to the (user, item) prefix counts of
+``common.prefix``. ``select_tracked`` (the paper's §V pair selection)
+ranks users by their final odd counts; it and ``exact_over_time``
+(s, n_u, n_v, J per checkpoint) share ``_tracked_counts``, one
+driver-side matrix product over the parity memberships. The tests check
+both against DuckDB.
 """
 from __future__ import annotations
 
@@ -22,38 +23,23 @@ from ..common import prefix
 from ..core import estimator
 
 
-def present(edges: DataFrame, t: int | None = None) -> DataFrame:
-    """Edges present at time t (columns user, item) via occurrence parity."""
-    df = edges if t is None else edges.where(F.col("t") <= int(t))
-    return (
-        df.groupBy("user", "item")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .where(F.col("cnt") % 2 == 1)
-        .select("user", "item")
-    )
-
-
-def cardinalities(edges: DataFrame, t: int | None = None) -> DataFrame:
-    """|S_u| at time t, one row per user with a non-empty set."""
-    return present(edges, t).groupBy("user").agg(F.count(F.lit(1)).alias("n"))
-
-
 def _tracked_counts(
-    edges: DataFrame, users: np.ndarray, checkpoints: Sequence[int]
+    keys: pd.DataFrame, counts: np.ndarray, users: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(s, n) for ``users`` at every checkpoint, in the order given.
+    """(s, n) for ``users``, in the order given, from (user, item) prefix
+    counts (``prefix.checkpoint_prefix_sums``); rows of other users are
+    ignored.
 
     ``s[c, a, b]`` = |S_users[a] ∩ S_users[b]| and ``n[c, a]`` =
-    |S_users[a]| at ``checkpoints[c]``. Membership is the parity of the
-    (user, item) prefix count, scattered into a (C, users, items) bool
-    array M; then s = M @ Mᵀ per checkpoint and n = Σ_items M.
+    |S_users[a]| at checkpoint c. Membership is the parity of the
+    count, scattered into a (C, users, items) bool array M; then
+    s = M @ Mᵀ per checkpoint and n = Σ_items M.
     """
-    tracked = edges.where(F.col("user").isin([int(u) for u in users]))
-    keys, counts = prefix.checkpoint_prefix_sums(tracked, ["user", "item"], checkpoints)
     rows = pd.Index(users).get_indexer(keys["user"])
-    cols, items = pd.factorize(keys["item"])
+    mine = rows >= 0
+    cols, items = pd.factorize(keys["item"][mine])
     member = np.zeros((counts.shape[1], len(users), len(items)), dtype=bool)
-    member[:, rows, cols] = (counts % 2 == 1).T
+    member[:, rows[mine], cols] = (counts[mine] % 2 == 1).T
     s = np.stack([mc.astype(np.int64) @ mc.T for mc in member])
     return s, member.sum(axis=-1)
 
@@ -66,12 +52,16 @@ def select_tracked(
     Returns (tracked user ids ascending, pairs DataFrame with columns
     u, v, s_final, sorted by (u, v)) — the pairs among the ``top_n``
     largest-cardinality users that share at least one item when the
-    whole stream has arrived. Ties broken by user id for determinism.
+    whole stream has arrived. Only users with a non-empty final set
+    are ranked; ties are broken by user id for determinism.
     """
-    card = cardinalities(edges).toPandas()
+    keys, counts = prefix.checkpoint_prefix_sums(
+        edges, ["user", "item"], [np.iinfo(np.int64).max]
+    )
+    card = keys["user"][counts[:, 0] % 2 == 1].value_counts().rename("n").reset_index()
     card = card.sort_values(["n", "user"], ascending=[False, True])
     users = np.sort(card["user"].to_numpy(np.int64)[:top_n])
-    s, _ = _tracked_counts(edges, users, [np.iinfo(np.int64).max])
+    s, _ = _tracked_counts(keys, counts, users)
     iu, iv = np.triu_indices(len(users), 1)
     s_final = s[0, iu, iv]
     keep = s_final > 0
@@ -98,7 +88,9 @@ def exact_over_time(
     missing = np.union1d(pu[iu < 0], pv[iv < 0])
     if missing.size:
         raise ValueError(f"pair users not in users: {missing.tolist()}")
-    s, n = _tracked_counts(edges, users, checkpoints)
+    tracked = edges.where(F.col("user").isin([int(u) for u in users]))
+    keys, counts = prefix.checkpoint_prefix_sums(tracked, ["user", "item"], checkpoints)
+    s, n = _tracked_counts(keys, counts, users)
     n_ckpt = s.shape[0]
     out = pd.DataFrame(
         {

@@ -12,12 +12,13 @@ arrival ≤ t. That makes the sequential per-edge definition expressible
 as a Catalyst aggregation — ``groupBy(pos).count() % 2`` — which is how
 ``build_bit_arrays`` builds A (for many checkpoints in a single pass:
 ``common.prefix.checkpoint_prefix_sums`` counts flips per position and
-checkpoint interval and takes prefix sums on the driver). The exact
-n_u counters come from the same primitive as prefix sums of the
-actions. ``VOSKernel`` is the paper's sequential O(1)
-update loop, used for the runtime experiment (Fig 2) and as the
-reference the distributed builds are tested against; the Structured
-Streaming operator lives in ``streaming.py``.
+checkpoint interval and takes prefix sums on the driver). The batch
+path takes the exact n_u counters from ``baselines.exact``, which reads
+them off the same primitive. ``VOSKernel`` is the paper's sequential
+O(1) update loop, with its own n_u counters, used for the runtime
+experiment (Fig 2) and as the reference the distributed builds are
+tested against; the Structured Streaming operator lives in
+``streaming.py``.
 """
 from __future__ import annotations
 
@@ -92,28 +93,6 @@ def rebuild_user_sketches(users, A_row: np.ndarray, params: VOSParams) -> np.nda
     j = np.arange(params.k, dtype=np.int64)
     pos = hashing.f_positions(us[:, None], j[None, :], params.m, params.seed)
     return A_row[pos]
-
-
-def user_counts_at(
-    edges: DataFrame, checkpoints: Sequence[int], users: Sequence[int] | None = None
-) -> pd.DataFrame:
-    """Exact n_u at each checkpoint (the paper's per-user counters).
-
-    Returns long-format pandas: columns ``user``, ``ckpt`` (index into
-    ``checkpoints``), ``n``. Restricted to ``users`` when given.
-    """
-    df = edges
-    if users is not None:
-        df = df.where(F.col("user").isin([int(u) for u in users]))
-    keys, n = prefix.checkpoint_prefix_sums(df, ["user"], checkpoints, value=F.col("action"))
-    n_keys, n_ckpt = n.shape
-    return pd.DataFrame(
-        {
-            "user": np.repeat(keys["user"].to_numpy(np.int64), n_ckpt),
-            "ckpt": np.tile(np.arange(n_ckpt), n_keys),
-            "n": n.ravel(),
-        }
-    )
 
 
 class VOSKernel:

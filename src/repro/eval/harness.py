@@ -7,11 +7,13 @@ the end, give every method the same memory budget m = 32·k_reg·|U| bits
 shared bit array of that length with per-user virtual sketch size
 k_vos = λ·32·k_reg, λ = 2), and report AAPE(ŝ) and ARMSE(Ĵ) at
 checkpoint times spread over the stream. Exact n_u counters are
-available to all methods, as in the paper.
+available to all methods, as in the paper. Truth and every method's
+estimates are (checkpoint × pair) arrays, and the metrics are taken
+per checkpoint row.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -23,87 +25,52 @@ from ..streams import datasets, generator
 from . import METHODS, metrics
 
 
-def _pair_indices(users: np.ndarray, pairs: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of each pair's two users in the sorted ``users`` array."""
-    iu = np.searchsorted(users, pairs["u"].to_numpy(np.int64))
-    iv = np.searchsorted(users, pairs["v"].to_numpy(np.int64))
-    return iu, iv
-
-
-def _pair_estimates(
-    users: np.ndarray,
-    pairs: pd.DataFrame,
-    truth: pd.DataFrame,
-    n_checkpoints: int,
-    estimate_at: Callable,
-) -> pd.DataFrame:
-    """(ŝ, Ĵ) for every tracked pair at every checkpoint.
-
-    ``estimate_at(ci, iu, iv, n_u, n_v)`` returns one method's (ŝ, Ĵ)
-    arrays at checkpoint ``ci`` for the pairs whose users sit at rows
-    ``iu`` and ``iv`` of ``users``, given their exact n_u and n_v.
-    """
-    iu, iv = _pair_indices(users, pairs)
-    keys = list(zip(pairs["u"], pairs["v"]))
-    frames = []
-    for ci in range(n_checkpoints):
-        tr = truth[truth["ckpt"] == ci].set_index(["u", "v"]).loc[keys]
-        nu = tr["n_u"].to_numpy(np.float64)
-        nv = tr["n_v"].to_numpy(np.float64)
-        s_hat, j_hat = estimate_at(ci, iu, iv, nu, nv)
-        frames.append(
-            pd.DataFrame(
-                {
-                    "u": pairs["u"],
-                    "v": pairs["v"],
-                    "ckpt": ci,
-                    "s_hat": s_hat,
-                    "j_hat": j_hat,
-                }
-            )
-        )
-    return pd.concat(frames, ignore_index=True)
-
-
 def estimate_vos(
     edges,
     users: np.ndarray,
-    pairs: pd.DataFrame,
-    truth: pd.DataFrame,
+    iu: np.ndarray,
+    iv: np.ndarray,
+    n_u: np.ndarray,
+    n_v: np.ndarray,
     checkpoints: Sequence[int],
     params: vos.VOSParams,
-) -> pd.DataFrame:
-    """VOS (ŝ, Ĵ) for every tracked pair at every checkpoint."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """VOS (ŝ, Ĵ) as (checkpoint × pair) arrays.
+
+    Pair p joins the users at rows ``iu[p]`` and ``iv[p]`` of ``users``;
+    ``n_u``/``n_v`` are the pairs' exact cardinalities, (checkpoint × pair).
+    """
     A, betas = vos.build_bit_arrays(edges, params, checkpoints)
-
-    def estimate_at(ci, iu, iv, nu, nv):
-        sk = vos.rebuild_user_sketches(users, A[ci], params)
+    s_hat = np.empty(n_u.shape)
+    for ci, (row, beta) in enumerate(zip(A, betas)):
+        sk = vos.rebuild_user_sketches(users, row, params)
         alpha = estimator.pair_alpha(sk[iu], sk[iv])
-        s_hat = estimator.estimate_common(nu, nv, alpha, betas[ci], params.k)
-        return s_hat, estimator.jaccard_from_common(s_hat, nu, nv)
-
-    return _pair_estimates(users, pairs, truth, len(checkpoints), estimate_at)
+        s_hat[ci] = estimator.estimate_common(n_u[ci], n_v[ci], alpha, beta, params.k)
+    return s_hat, estimator.jaccard_from_common(s_hat, n_u, n_v)
 
 
 def estimate_baseline(
     edges,
     users: np.ndarray,
-    pairs: pd.DataFrame,
-    truth: pd.DataFrame,
+    iu: np.ndarray,
+    iv: np.ndarray,
+    n_u: np.ndarray,
+    n_v: np.ndarray,
     checkpoints: Sequence[int],
     method: str,
     k_reg: int,
     seed: int,
-) -> pd.DataFrame:
-    """MinHash/OPH/RP (ŝ, Ĵ) for every tracked pair at every checkpoint."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """MinHash/OPH/RP (ŝ, Ĵ) as (checkpoint × pair) arrays; the pair
+    arguments are those of ``estimate_vos``."""
     snaps = driver.sketch_snapshots(edges, users, checkpoints, method, k_reg, seed)
     est = BASELINES[method].estimate_pairs
-
-    def estimate_at(ci, iu, iv, nu, nv):
+    per_ckpt = []
+    for ci in range(len(checkpoints)):
         mat = driver.snapshots_to_matrix(snaps, users, ci, k_reg)
-        return est(mat[iu], mat[iv], nu, nv)
-
-    return _pair_estimates(users, pairs, truth, len(checkpoints), estimate_at)
+        per_ckpt.append(est(mat[iu], mat[iv], n_u[ci], n_v[ci]))
+    s_hat, j_hat = zip(*per_ckpt)
+    return np.stack(s_hat), np.stack(j_hat)
 
 
 def run_accuracy(
@@ -129,29 +96,35 @@ def run_accuracy(
     try:
         users, pairs = exact.select_tracked(edges, top_n)
         truth = exact.exact_over_time(edges, users, pairs, checkpoints)
+        # exact_over_time rows run checkpoint-major, then in pair order.
+        s, n_u, n_v, j = (
+            truth[col].to_numpy(np.float64).reshape(n_checkpoints, len(pairs))
+            for col in ("s", "n_u", "n_v", "j")
+        )
+        index = pd.Index(users)
+        iu, iv = index.get_indexer(pairs["u"]), index.get_indexer(pairs["v"])
         params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
 
         rows = []
         for method in methods:
             if method == "vos":
-                ests = estimate_vos(edges, users, pairs, truth, checkpoints, params)
+                s_hat, j_hat = estimate_vos(edges, users, iu, iv, n_u, n_v, checkpoints, params)
             else:
-                ests = estimate_baseline(
-                    edges, users, pairs, truth, checkpoints, method, k_reg, seed + 13
+                s_hat, j_hat = estimate_baseline(
+                    edges, users, iu, iv, n_u, n_v, checkpoints, method, k_reg, seed + 13
                 )
-            merged = truth.merge(ests, on=["u", "v", "ckpt"], validate="1:1")
-            for ci, grp in merged.groupby("ckpt"):
-                rows.append(
-                    {
-                        "dataset": dataset,
-                        "method": method,
-                        "ckpt": int(ci),
-                        "t": checkpoints[int(ci)],
-                        "n_pairs": len(grp),
-                        "aape": metrics.aape(grp["s"], grp["s_hat"]),
-                        "armse": metrics.armse(grp["j"], grp["j_hat"]),
-                    }
-                )
+            rows += [
+                {
+                    "dataset": dataset,
+                    "method": method,
+                    "ckpt": ci,
+                    "t": t,
+                    "n_pairs": len(pairs),
+                    "aape": metrics.aape(s[ci], s_hat[ci]),
+                    "armse": metrics.armse(j[ci], j_hat[ci]),
+                }
+                for ci, t in enumerate(checkpoints)
+            ]
         return pd.DataFrame(rows).sort_values(["method", "ckpt"]).reset_index(drop=True)
     finally:
         edges.unpersist()

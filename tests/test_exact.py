@@ -3,7 +3,6 @@ cross-checked against DuckDB via the oracle."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines import exact
 from repro.oracle import assert_equivalent, query
@@ -14,6 +13,15 @@ PRESENT_SQL = """
         SELECT "user", item, COUNT(*) AS cnt FROM stream {where}
         GROUP BY "user", item
     ) WHERE cnt % 2 = 1
+"""
+PARITY_CARD_SQL = f"""
+    SELECT "user", COUNT(*) AS n FROM ({PRESENT_SQL.format(where="")}) GROUP BY "user"
+"""
+ACTION_SUM_CARD_SQL = """
+    SELECT "user", SUM(action) AS n FROM stream GROUP BY "user" HAVING SUM(action) > 0
+"""
+RANKING_SQL = """
+    SELECT "user" FROM ({card}) ORDER BY n DESC, "user" LIMIT {top_n}
 """
 
 
@@ -31,49 +39,31 @@ def pairs_sql(t: int, users) -> str:
     """
 
 
-class TestPresent:
-    @pytest.mark.parametrize("frac", [0.3, 0.6, 1.0])
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf, frac):
-        T = int(tiny_stream_pdf["t"].max())
-        t = int(T * frac)
-        sql = PRESENT_SQL.format(where=f"WHERE t <= {t}")
-        assert_equivalent(exact.present(tiny_stream_sdf, t), sql, stream=tiny_stream_pdf)
-
-    def test_full_stream_default(self, tiny_stream_sdf, tiny_stream_pdf):
-        sql = PRESENT_SQL.format(where="")
-        assert_equivalent(exact.present(tiny_stream_sdf), sql, stream=tiny_stream_pdf)
-
-    def test_matches_pandas_net_state(self, tiny_stream_sdf, tiny_stream_pdf):
-        T = int(tiny_stream_pdf["t"].max())
-        got = set(map(tuple, exact.present(tiny_stream_sdf, T // 2).collect()))
-        ns = generator.net_state(tiny_stream_pdf, T // 2)
-        assert got == set(map(tuple, ns[["user", "item"]].values))
-
-
-class TestCardinalities:
-    @pytest.mark.parametrize("frac", [0.5, 1.0])
-    def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf, frac):
-        T = int(tiny_stream_pdf["t"].max())
-        t = int(T * frac)
-        inner = PRESENT_SQL.format(where=f"WHERE t <= {t}")
-        assert_equivalent(
-            exact.cardinalities(tiny_stream_sdf, t),
-            f'SELECT "user", COUNT(*) AS n FROM ({inner}) GROUP BY "user"',
-            stream=tiny_stream_pdf,
-        )
-
-    def test_equals_action_sum(self, tiny_stream_sdf):
-        """Parity cardinality == running Σ action (feasibility check)."""
-        card = {r["user"]: r["n"] for r in exact.cardinalities(tiny_stream_sdf).collect()}
-        sums = {
-            r["user"]: r["s"]
-            for r in tiny_stream_sdf.groupBy("user").agg(F.sum("action").alias("s")).collect()
-        }
-        for u, s in sums.items():
-            assert card.get(u, 0) == s
-
-
 class TestSelectTracked:
+    @pytest.mark.parametrize(
+        "card_sql", [PARITY_CARD_SQL, ACTION_SUM_CARD_SQL], ids=["parity", "action_sum"]
+    )
+    @pytest.mark.parametrize("top_n", [1, 8, 1000])
+    def test_users_match_duckdb_ranking(self, tiny_stream_sdf, tiny_stream_pdf, card_sql, top_n):
+        """The tracked users are DuckDB's ``top_n`` largest final sets,
+        ties by id, counted either as odd (user, item) occurrences or as
+        the running Σ action (equal on a feasible stream)."""
+        users, _ = exact.select_tracked(tiny_stream_sdf, top_n)
+        want = query(RANKING_SQL.format(card=card_sql, top_n=top_n), stream=tiny_stream_pdf)
+        assert users.tolist() == sorted(want["user"])
+
+    def test_emptied_user_never_tracked(self, spark):
+        """A user whose every edge was deleted has an empty final set and
+        is not ranked, even when ``top_n`` exceeds the non-empty users."""
+        stream = pd.DataFrame(
+            [(1, 1, 10, 1), (2, 2, 10, 1), (3, 2, 12, 1), (4, 1, 11, 1),
+             (5, 2, 10, -1), (6, 3, 11, 1), (7, 2, 12, -1)],
+            columns=["t", "user", "item", "action"],
+        )
+        users, pairs = exact.select_tracked(generator.to_spark(spark, stream), 5)
+        assert users.tolist() == [1, 3]
+        assert pairs.to_dict("list") == {"u": [1], "v": [3], "s_final": [1]}
+
     def test_vs_duckdb(self, tiny_stream_sdf, tiny_stream_pdf):
         users, pairs = exact.select_tracked(tiny_stream_sdf, 8)
         T = int(tiny_stream_pdf["t"].max())

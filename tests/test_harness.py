@@ -69,14 +69,6 @@ class TestRunAccuracy:
         assert again.equals(tiny_results)
 
 
-class TestEstimateHelpers:
-    def test_pair_indices(self):
-        users = np.array([3, 7, 9])
-        pairs = pd.DataFrame({"u": [3, 7], "v": [9, 9]})
-        iu, iv = harness._pair_indices(users, pairs)
-        assert (iu == [0, 1]).all() and (iv == [2, 2]).all()
-
-
 class TestCommittedFig3Table:
     def test_youtube_matches_results_csv(self, spark):
         """The committed results/fig3_accuracy.csv youtube rows are what

@@ -81,6 +81,25 @@ class TestSymmetricDifferenceEstimator:
         mean_est = np.mean(ests)
         assert abs(mean_est - 2 * n_delta) / (2 * n_delta) < 0.15
 
+    @pytest.mark.parametrize("n_delta", [4, 16, 48, 64, 80])
+    def test_mean_alpha_matches_expectation(self, n_delta):
+        """Over hash seeds, the mean 1-bit fraction α of O(S_u) ⊕ O(S_v)
+        is within 4 standard errors of (1 − (1−2/k)^{nΔ})/2 (Mitzenmacher
+        et al., WWW'14), for nΔ below and near k. S_u ∩ S_v has 100 items."""
+        k = 64
+        s_u = np.arange(100)
+        s_v = np.concatenate([s_u, np.arange(1000, 1000 + n_delta)])
+        alphas = np.array(
+            [
+                (odd_sketch.odd_sketch(s_u, k, seed) ^ odd_sketch.odd_sketch(s_v, k, seed)).mean()
+                for seed in range(400)
+            ]
+        )
+        expect = (1 - (1 - 2 / k) ** n_delta) / 2
+        stderr = alphas.std(ddof=1) / np.sqrt(alphas.size)
+        assert stderr > 0
+        assert abs(alphas.mean() - expect) < 4 * stderr
+
 
 @given(
     st.lists(st.integers(0, 10_000), max_size=60),

@@ -96,30 +96,6 @@ class TestRebuild:
         assert set(np.unique(mat)) <= {0, 1}
 
 
-class TestUserCounts:
-    def test_matches_net_state(self, tiny_stream_sdf, tiny_stream_pdf):
-        T = int(tiny_stream_pdf["t"].max())
-        users = sorted(tiny_stream_pdf["user"].unique()[:10])
-        counts = vos.user_counts_at(tiny_stream_sdf, [T // 2, T], users)
-        for ckpt_idx, c in enumerate([T // 2, T]):
-            ns = generator.net_state(tiny_stream_pdf, c)
-            card = ns.groupby("user").size()
-            for u in users:
-                got = counts[(counts["user"] == u) & (counts["ckpt"] == ckpt_idx)]["n"]
-                assert int(got.iloc[0]) == int(card.get(u, 0))
-
-    def test_counter_vs_duckdb_oracle(self, tiny_stream_sdf, tiny_stream_pdf):
-        """n_u as running action sum == DuckDB aggregate."""
-        spark_n = tiny_stream_sdf.groupBy("user").agg(
-            F.sum("action").alias("n")
-        )
-        assert_equivalent(
-            spark_n,
-            'SELECT "user", SUM(action) AS n FROM stream GROUP BY "user"',
-            stream=tiny_stream_pdf,
-        )
-
-
 class TestKernel:
     def test_beta_bounds(self, kernel_ref):
         assert 0 <= kernel_ref.beta < 0.5
