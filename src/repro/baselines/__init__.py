@@ -18,23 +18,34 @@ class Baseline:
     """One per-user sketch method.
 
     ``kernel(user, k, seed)`` makes the user's sequential update kernel
-    (``update(item, action)``, ``snapshot()``); ``estimate_pairs(regs_u,
+    (``update(item, action)``, ``snapshot()``), the Fig 2 loop;
+    ``replay(user, items, actions, snap, k, seed)`` gives the (C, k)
+    registers that kernel holds after the first ``snap[c]`` of the
+    user's edges, as the Fig 3 driver needs them; ``estimate_pairs(regs_u,
     regs_v, n_u, n_v)`` turns two register matrices into (ŝ, Ĵ);
     ``o1_update`` says whether one update touches O(1) registers
     rather than O(k).
     """
 
     kernel: Callable[[int, int, int], object]
+    replay: Callable
     estimate_pairs: Callable
     o1_update: bool
 
 
 BASELINES = {
     "minhash": Baseline(
-        lambda user, k, seed: minhash.MinHashKernel(k, seed), minhash.estimate_pairs, False
+        lambda user, k, seed: minhash.MinHashKernel(k, seed),
+        minhash.replay,
+        minhash.estimate_pairs,
+        False,
     ),
-    "oph": Baseline(lambda user, k, seed: oph.OPHKernel(k, seed), oph.estimate_pairs, True),
-    "rp": Baseline(lambda user, k, seed: rp.RPKernel(k, seed, user=user), rp.estimate_pairs, False),
+    "oph": Baseline(
+        lambda user, k, seed: oph.OPHKernel(k, seed), oph.replay, oph.estimate_pairs, True
+    ),
+    "rp": Baseline(
+        lambda user, k, seed: rp.RPKernel(k, seed, user=user), rp.replay, rp.estimate_pairs, False
+    ),
 }
 
 

@@ -5,7 +5,9 @@ bins. An item only competes inside its own bin, so each edge touches
 exactly one register — O(1) per edge. Empty bins stay empty (densified
 variants are out of the paper's comparison). The deletion extension
 mirrors MinHash's: deleting the bin's current minimum empties the bin —
-same sampling bias on dynamic streams.
+same sampling bias on dynamic streams. ``replay`` reads a user's whole
+sub-stream at checkpoint cuts with MinHash's ``segment_scan``, on the
+one hash masked by bin, and equals ``OPHKernel`` bit for bit.
 
 Estimator: Ĵ = Σ_j 1(oph_j(S_u) = oph_j(S_v) ≠ ∅) /
 Σ_j 1(oph_j(S_u) ≠ ∅ ∨ oph_j(S_v) ≠ ∅), then ŝ = Ĵ·(n_u+n_v)/(1+Ĵ).
@@ -16,6 +18,7 @@ import numpy as np
 
 from ..common import hashing
 from ..core import estimator
+from .minhash import segment_scan
 
 EMPTY = np.int64(-1)
 _MAXH = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -43,6 +46,17 @@ class OPHKernel:
 
     def snapshot(self) -> np.ndarray:
         return self.items.copy()
+
+
+def replay(user: int, items, actions, snap, k: int, seed: int) -> np.ndarray:
+    """(C, k) registers of an ``OPHKernel`` fed the int64 arrays
+    ``items``/``actions`` in order, read after the first ``snap[c]`` edges."""
+    h = hashing.oph_values(items, seed)
+    bins = hashing.oph_bins(h, k)[:, None]
+    inserts = (actions > 0)[:, None]
+    return segment_scan(
+        items, actions, snap, k, lambda j: (h[:, None], inserts & (bins == j[None, :]))
+    )
 
 
 def static_sketch(items, k: int, seed: int) -> np.ndarray:

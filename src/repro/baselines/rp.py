@@ -71,6 +71,25 @@ class RPKernel:
         return self.items.copy()
 
 
+def replay(user: int, items, actions, snap, k: int, seed: int) -> np.ndarray:
+    """(C, k) samples of an ``RPKernel`` fed the int64 arrays
+    ``items``/``actions`` in order, read after the first ``snap[c]`` edges
+    (``snap`` non-decreasing).
+
+    RP draws fresh uniforms per insert, so its replay is the kernel loop.
+    """
+    kern = RPKernel(k, seed, user=user)
+    items, actions = items.tolist(), actions.tolist()
+    out = np.empty((len(snap), k), dtype=np.int64)
+    done = 0
+    for c, upto in enumerate(np.asarray(snap).tolist()):
+        for item, action in zip(items[done:upto], actions[done:upto]):
+            kern.update(item, action)
+        done = upto
+        out[c] = kern.items
+    return out
+
+
 def estimate_pairs(regs_u: np.ndarray, regs_v: np.ndarray, n_u, n_v):
     """(ŝ, Ĵ) from independent-sample match counts."""
     match = (regs_u == regs_v) & (regs_u != EMPTY)

@@ -48,6 +48,10 @@ class VOSParams:
     m: int
     seed: int = 7
 
+    def __post_init__(self):
+        if self.k < 1 or self.m < 1:
+            raise ValueError(f"VOS needs k >= 1 and m >= 1, got k={self.k}, m={self.m}")
+
     @staticmethod
     def paper_budget(n_users: int, k_reg: int = 100, lam: int = 2, seed: int = 7) -> "VOSParams":
         """The paper's §V memory accounting: m = 32·k_reg·|U|, k = λ·32·k_reg."""

@@ -50,26 +50,18 @@ def estimate_vos(
 
 
 def estimate_baseline(
-    edges,
-    users: np.ndarray,
+    regs: np.ndarray,
     iu: np.ndarray,
     iv: np.ndarray,
     n_u: np.ndarray,
     n_v: np.ndarray,
-    checkpoints: Sequence[int],
     method: str,
-    k_reg: int,
-    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """MinHash/OPH/RP (ŝ, Ĵ) as (checkpoint × pair) arrays; the pair
-    arguments are those of ``estimate_vos``."""
-    snaps = driver.sketch_snapshots(edges, users, checkpoints, method, k_reg, seed)
+    """MinHash/OPH/RP (ŝ, Ĵ) as (checkpoint × pair) arrays from the
+    method's (checkpoint × user × register) ``regs``; the pair arguments
+    are those of ``estimate_vos``."""
     est = BASELINES[method].estimate_pairs
-    per_ckpt = []
-    for ci in range(len(checkpoints)):
-        mat = driver.snapshots_to_matrix(snaps, users, ci, k_reg)
-        per_ckpt.append(est(mat[iu], mat[iv], n_u[ci], n_v[ci]))
-    s_hat, j_hat = zip(*per_ckpt)
+    s_hat, j_hat = zip(*(est(r[iu], r[iv], nu, nv) for r, nu, nv in zip(regs, n_u, n_v)))
     return np.stack(s_hat), np.stack(j_hat)
 
 
@@ -88,8 +80,13 @@ def run_accuracy(
 
     Returns a long table: dataset, method, ckpt, t, n_pairs, aape,
     armse. Checkpoint times are i/n_checkpoints of the stream length.
+    Unknown or repeated ``methods`` and an empty sketch size raise
+    ``ValueError`` before any Spark job runs.
     """
+    if not set(methods) <= set(METHODS) or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must be distinct names from {METHODS}, got {list(methods)}")
     stream_pdf, spec = datasets.make_stream(dataset, seed=seed)
+    params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
     total = len(stream_pdf)
     checkpoints = [round(total * (i + 1) / n_checkpoints) for i in range(n_checkpoints)]
     edges = generator.to_spark(spark, stream_pdf).cache()
@@ -103,16 +100,18 @@ def run_accuracy(
         )
         index = pd.Index(users)
         iu, iv = index.get_indexer(pairs["u"]), index.get_indexer(pairs["v"])
-        params = vos.VOSParams.paper_budget(spec.n_users, k_reg=k_reg, lam=lam, seed=seed + 7)
+        sketched = tuple(m for m in methods if m != "vos")
+        regs = {}
+        if sketched:
+            snaps = driver.sketch_snapshots(edges, users, checkpoints, sketched, k_reg, seed + 13)
+            regs = driver.snapshots_to_matrix(snaps, users, n_checkpoints, k_reg)
 
         rows = []
         for method in methods:
             if method == "vos":
                 s_hat, j_hat = estimate_vos(edges, users, iu, iv, n_u, n_v, checkpoints, params)
             else:
-                s_hat, j_hat = estimate_baseline(
-                    edges, users, iu, iv, n_u, n_v, checkpoints, method, k_reg, seed + 13
-                )
+                s_hat, j_hat = estimate_baseline(regs[method], iu, iv, n_u, n_v, method)
             rows += [
                 {
                     "dataset": dataset,

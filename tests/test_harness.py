@@ -60,6 +60,18 @@ class TestRunAccuracy:
         )
         assert set(out["method"]) == {"vos", "oph"}
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"methods": ("vos", "bogus")}, {"methods": ("vos", "vos")}, {"k_reg": 0}],
+        ids=["unknown", "repeated", "k_reg=0"],
+    )
+    def test_bad_arguments_rejected_before_spark(self, kwargs):
+        """With no Spark session to run on, the error must come first:
+        an unknown method used to fail only after the truth and VOS jobs,
+        and a repeated one silently doubled its rows."""
+        with pytest.raises(ValueError):
+            harness.run_accuracy(None, "tiny", **kwargs)
+
     def test_deterministic(self, spark, tiny_results):
         again = harness.run_accuracy(
             spark, "tiny", k_reg=32, n_checkpoints=4, top_n=8, seed=0

@@ -22,7 +22,7 @@ ENTRY_POINTS = {
     "exact_over_time": lambda sdf, cps: exact.exact_over_time(
         sdf, [1, 2], pd.DataFrame({"u": [1], "v": [2]}), cps
     ),
-    "sketch_snapshots": lambda sdf, cps: driver.sketch_snapshots(sdf, [1, 2], cps, "oph", 8, 0),
+    "sketch_snapshots": lambda sdf, cps: driver.sketch_snapshots(sdf, [1, 2], cps, ["oph"], 8, 0),
 }
 
 

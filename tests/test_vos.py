@@ -121,6 +121,21 @@ class TestKernel:
         assert p.m == 32 * 100 * 1000
         assert p.k == 2 * 32 * 100
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: vos.VOSParams.paper_budget(1000, k_reg=0),
+            lambda: vos.VOSParams.paper_budget(0, k_reg=100),
+            lambda: vos.VOSParams(k=0, m=4096),
+            lambda: vos.VOSParams(k=64, m=0),
+        ],
+        ids=["k_reg=0", "no-users", "k=0", "m=0"],
+    )
+    def test_empty_sketch_rejected(self, make):
+        """k = 0 or m = 0 used to fail later, in a modulo by zero."""
+        with pytest.raises(ValueError, match="k >= 1 and m >= 1"):
+            make()
+
 
 class TestEndToEndAccuracy:
     def test_similarity_estimate_tracks_truth(self, spark):
